@@ -196,11 +196,10 @@ pub struct SupervisionSnapshot {
 
 /// Manifest entry for one shard file.
 ///
-/// `Deserialize` is hand-written so manifests predating
-/// [`ShardEntry::bytes`] still load (the field defaults to `0`,
-/// "unknown", which disqualifies the entry from the size quick check and
-/// falls back to full read-back verification).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Manifests predating [`ShardEntry::bytes`] still load: the field
+/// defaults to `0`, "unknown", which disqualifies the entry from the size
+/// quick check and falls back to full read-back verification.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// Shard file path relative to the checkpoint directory.
     pub file: String,
@@ -214,34 +213,13 @@ pub struct ShardEntry {
     /// confirmation that the restorability induction still holds on disk
     /// (truncated or torn-overwritten files change size); see
     /// [`WriteOptions::previous_restorable`].
+    #[serde(default)]
     pub bytes: u64,
     /// When the shard was **reused** from an earlier generation (none of
     /// its tenants mutated since), the generation that actually serialized
     /// these bytes; `None` for freshly written shards (and all v1
     /// entries).
     pub reused_from: Option<u64>,
-}
-
-impl Deserialize for ShardEntry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{key}` in ShardEntry")))
-        };
-        Ok(Self {
-            file: Deserialize::from_value(require("file")?)?,
-            tenants: Deserialize::from_value(require("tenants")?)?,
-            checksum: Deserialize::from_value(require("checksum")?)?,
-            bytes: match v.get("bytes") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-            reused_from: match v.get("reused_from") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// The checkpoint manifest: the single swap point that makes a generation

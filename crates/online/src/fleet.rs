@@ -185,6 +185,66 @@ enum PageKind {
     },
 }
 
+/// A paged tenant's state as loaded by [`Pager::load`].
+#[allow(clippy::large_enum_variant)] // a return value, consumed at once; boxing would add an allocation
+enum PagedState {
+    /// A virgin tenant, freshly built from `(config, origin, seed)`.
+    Fresh(OnlineScaler),
+    /// An on-disk tenant's page, verified against its receipt.
+    Page(ScalerSnapshot),
+}
+
+/// Turns [`PagedTenant`]s back into state: the fleet-wide configuration
+/// a virgin tenant is built from, the page store an on-disk one is read
+/// from, and the runtime switches a woken scaler is armed with.
+struct Pager {
+    config: OnlineConfig,
+    origin: f64,
+    store: Option<HibernationStore>,
+    tracing: bool,
+    sharing: SharingConfig,
+}
+
+impl Pager {
+    /// Load a paged tenant's state. Fails when the page cannot be read
+    /// or verified, or when the tenant is on disk but no store is
+    /// attached.
+    fn load(&self, paged: &PagedTenant) -> Result<PagedState, OnlineError> {
+        match paged.kind {
+            PageKind::Virgin => {
+                OnlineScaler::with_seed(self.config, self.origin, paged.seed).map(PagedState::Fresh)
+            }
+            PageKind::OnDisk { checksum } => {
+                let store = self.store.as_ref().ok_or_else(|| OnlineError::Checkpoint {
+                    shard: None,
+                    message: format!(
+                        "tenant {} is paged out but no hibernation store is attached",
+                        paged.id
+                    ),
+                })?;
+                store
+                    .page_in(paged.id, PageReceipt { checksum })
+                    .map(PagedState::Page)
+            }
+        }
+    }
+
+    /// Wake a paged tenant: load it and arm tracing and plan reuse per
+    /// the fleet's current policy.
+    fn wake(&self, paged: &PagedTenant) -> Result<Box<Tenant>, OnlineError> {
+        let mut scaler = match self.load(paged)? {
+            PagedState::Fresh(scaler) => scaler,
+            PagedState::Page(snapshot) => OnlineScaler::restore(snapshot, self.config)?,
+        };
+        scaler.set_tracing(self.tracing);
+        apply_plan_reuse(&mut scaler, &self.sharing);
+        Ok(Box::new(Tenant {
+            id: paged.id,
+            scaler,
+        }))
+    }
+}
+
 /// Per-tenant residency state. Orthogonal to paging: a cold tenant may
 /// stay resident (no hibernation store, a failed page-out, or a fresh
 /// restore); a paged tenant is always cold.
@@ -392,6 +452,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The tenant boundary: run one tenant's share of a round, turning a
+/// panic (injected or real) into a [`TenantPanicked`](OnlineError::TenantPanicked)
+/// error for tenant `id`, so it poisons only that tenant's slot.
+fn tenant_boundary<T>(id: u64, work: impl FnOnce() -> T) -> Result<T, OnlineError> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| OnlineError::TenantPanicked {
+        tenant: id,
+        message: panic_message(payload),
+    })
+}
+
+/// The drain step of a round (and of [`TenantFleet::drain_bus`]): move
+/// tenant `index`'s queued arrivals into `buf` in timestamp order, apply
+/// the fault plan's injected corruption for `round`, and batch-ingest
+/// them. The corruption applies *after* the recorder captured the queue,
+/// so a replayed drain re-derives it. Returns the number drained.
+fn drain_tenant(
+    tenant: &mut Tenant,
+    index: usize,
+    round: u64,
+    bus: &ArrivalBus,
+    faults: Option<&FaultInjector>,
+    buf: &mut Vec<f64>,
+) -> Result<usize, OnlineError> {
+    let drained = bus.drain_into(index, buf)?;
+    if drained > 0 {
+        if let Some(injector) = faults {
+            injector.corrupt_arrivals(round, tenant.id, buf);
+        }
+        tenant.scaler.ingest_batch(buf);
+    }
+    Ok(drained)
+}
+
 /// Outcome of one tenant's *prepare* phase — everything up to, but not
 /// including, the Monte Carlo planning stage.
 enum PrepOutcome {
@@ -410,7 +503,7 @@ enum PrepOutcome {
 }
 
 /// One tenant's *prepare* share of a planning round, executed inside the
-/// round worker's per-tenant `catch_unwind` boundary.
+/// round worker's [`tenant_boundary`].
 ///
 /// Order matters for determinism and data retention: the recovery (if
 /// this is a probe) runs *first* so a snapshot restore cannot eat the
@@ -459,15 +552,8 @@ fn tenant_prepare(
         }
     }
     if let Some(bus) = bus {
-        match bus.drain_into(index, buf) {
-            Ok(0) => {}
-            Ok(_) => {
-                if let Some(injector) = faults {
-                    injector.corrupt_arrivals(round, id, buf);
-                }
-                tenant.scaler.ingest_batch(buf);
-            }
-            Err(e) => return PrepOutcome::Done(Err(e)),
+        if let Err(e) = drain_tenant(tenant, index, round, bus, faults, buf) {
+            return PrepOutcome::Done(Err(e));
         }
     }
     if let TenantAction::Skip { until_round } = action {
@@ -509,21 +595,24 @@ fn tenant_prepare(
 /// path actually produced the round — the decision-dedup pass only lets
 /// plan-group followers adopt a leader's round when it did (a private
 /// fallback depends on the leader's own forecast and RNG, so followers
-/// must then plan themselves).
+/// must then plan themselves). Runs inside the [`tenant_boundary`].
 fn tenant_plan(
     tenant: &mut Tenant,
     now: f64,
     covered: usize,
     sampler: Option<&ArrivalSampler>,
 ) -> (Result<PlanningRound, OnlineError>, bool) {
-    if let Some(sampler) = sampler {
-        match tenant.scaler.plan_shared(now, covered, sampler) {
-            Ok(Some(finished)) => return (Ok(finished), true),
-            Ok(None) => {}
-            Err(e) => return (Err(e), false),
+    tenant_boundary(tenant.id, || {
+        if let Some(sampler) = sampler {
+            match tenant.scaler.plan_shared(now, covered, sampler) {
+                Ok(Some(finished)) => return (Ok(finished), true),
+                Ok(None) => {}
+                Err(e) => return (Err(e), false),
+            }
         }
-    }
-    (tenant.scaler.plan_prepared(now, covered), false)
+        (tenant.scaler.plan_prepared(now, covered), false)
+    })
+    .unwrap_or_else(|e| (Err(e), false))
 }
 
 /// Sentinel for "no checkpoint has captured this queue yet": a mutation
@@ -920,26 +1009,9 @@ impl TenantFleet {
         let TenantSlot::Paged(paged) = &self.tenants[index] else {
             return Ok(());
         };
-        let (id, seed, kind) = (paged.id, paged.seed, paged.kind);
-        let scaler = match kind {
-            PageKind::Virgin => OnlineScaler::with_seed(self.config, self.origin, seed),
-            PageKind::OnDisk { checksum } => self
-                .hibernation
-                .as_ref()
-                .ok_or_else(|| OnlineError::Checkpoint {
-                    shard: None,
-                    message: format!(
-                        "tenant {id} is paged out but no hibernation store is attached"
-                    ),
-                })
-                .and_then(|store| store.page_in(id, PageReceipt { checksum }))
-                .and_then(|snapshot| OnlineScaler::restore(snapshot, self.config)),
-        };
-        match scaler {
-            Ok(mut scaler) => {
-                scaler.set_tracing(self.tracing);
-                apply_plan_reuse(&mut scaler, &self.sharing);
-                self.tenants[index] = TenantSlot::Resident(Box::new(Tenant { id, scaler }));
+        match self.pager().wake(paged) {
+            Ok(tenant) => {
+                self.tenants[index] = TenantSlot::Resident(tenant);
                 self.dirty[index] = true;
                 self.residency_counters.page_ins += 1;
                 Ok(())
@@ -948,6 +1020,18 @@ impl TenantFleet {
                 self.residency_counters.page_in_failures += 1;
                 Err(e)
             }
+        }
+    }
+
+    /// The fleet's [`Pager`] (the store is a path plus a shared storage
+    /// handle, so the copy is cheap and borrows nothing).
+    fn pager(&self) -> Pager {
+        Pager {
+            config: self.config,
+            origin: self.origin,
+            store: self.hibernation.clone(),
+            tracing: self.tracing,
+            sharing: self.sharing,
         }
     }
 
@@ -1174,36 +1258,14 @@ impl TenantFleet {
     /// warming up, failed refit, ...) yields `Err` *in its own slot* while
     /// every other tenant's plan is returned normally — one bad tenant must
     /// never take down a round for the hundreds sharing the process. The
-    /// outer `Err` is reserved for caller mistakes (wrong `covered` length).
+    /// outer `Err` is reserved for caller mistakes (wrong `covered` length)
+    /// and for a panic that escapes the tenant boundary, which aborts the
+    /// round whole ([`RoundPanicked`](OnlineError::RoundPanicked)).
     #[allow(clippy::type_complexity)]
     pub fn run_round(
         &mut self,
         now: f64,
         covered: &[usize],
-    ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
-        self.round_inner(now, covered, true)
-    }
-
-    /// [`TenantFleet::run_round`] executed on per-round *scoped threads*
-    /// instead of the persistent pool — the legacy execution flavour, kept
-    /// so the pool-vs-spawn round-latency comparison in `bench_fleet`
-    /// measures both on identical code. Outputs are bit-identical to
-    /// [`TenantFleet::run_round`].
-    #[allow(clippy::type_complexity)]
-    pub fn run_round_spawning(
-        &mut self,
-        now: f64,
-        covered: &[usize],
-    ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
-        self.round_inner(now, covered, false)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn round_inner(
-        &mut self,
-        now: f64,
-        covered: &[usize],
-        use_pool: bool,
     ) -> Result<Vec<Result<PlanningRound, OnlineError>>, OnlineError> {
         if covered.len() != self.tenants.len() {
             return Err(OnlineError::InvalidConfig(
@@ -1312,116 +1374,8 @@ impl TenantFleet {
         } else {
             (Vec::new(), None)
         };
-        let workers = self.workers;
-        let bus = self.bus.clone();
-        let faults = self.faults;
-        let actions_ref = &actions;
-        let config = self.config;
-        let origin = self.origin;
-        let tracing = self.tracing;
-        let sharing = self.sharing;
-        let hibernation = self.hibernation.as_ref();
-        // Phase 1 — prepare, arrival-major: each worker drains and
-        // prepares *all* of its tenants (recovery → drain → ingest →
-        // refit → sufficiency check) before any Monte Carlo planning
-        // runs, so the plan phase below sees every tenant's final
-        // forecast and can batch the sampling across them.
-        let prepare_work = |start: usize, chunk: &mut [TenantSlot]| {
-            // Injected worker-thread death: fires at the chunk boundary,
-            // outside any tenant, so the whole round aborts (see the
-            // module docs — this fault class is worker-count-dependent).
-            if let Some(injector) = &faults {
-                if injector.worker_panics(round, start) {
-                    panic!("injected worker panic (round {round}, chunk {start})");
-                }
-            }
-            // One drain buffer per worker chunk, reused across its tenants.
-            let mut buf = Vec::new();
-            chunk
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let index = start + i;
-                    let id = slot.id();
-                    match &actions_ref[index] {
-                        // Dormant tenants are not touched at all — that
-                        // is the whole round-latency win.
-                        TenantAction::Dormant => {
-                            return PrepOutcome::Done(Err(OnlineError::Hibernated { tenant: id }));
-                        }
-                        TenantAction::Wake { .. } => {
-                            if let TenantSlot::Paged(paged) = slot {
-                                let (seed, kind) = (paged.seed, paged.kind);
-                                let built = match kind {
-                                    PageKind::Virgin => {
-                                        OnlineScaler::with_seed(config, origin, seed)
-                                    }
-                                    PageKind::OnDisk { checksum } => hibernation
-                                        .ok_or_else(|| OnlineError::Checkpoint {
-                                            shard: None,
-                                            message: format!(
-                                                "tenant {id} is paged out but no hibernation \
-                                                 store is attached"
-                                            ),
-                                        })
-                                        .and_then(|store| {
-                                            store.page_in(id, PageReceipt { checksum })
-                                        })
-                                        .and_then(|snapshot| {
-                                            OnlineScaler::restore(snapshot, config)
-                                        }),
-                                };
-                                match built {
-                                    Ok(mut scaler) => {
-                                        scaler.set_tracing(tracing);
-                                        apply_plan_reuse(&mut scaler, &sharing);
-                                        *slot =
-                                            TenantSlot::Resident(Box::new(Tenant { id, scaler }));
-                                    }
-                                    // A failed page-in leaves the tenant
-                                    // paged; the wake trigger persists,
-                                    // so next round retries.
-                                    Err(e) => return PrepOutcome::Done(Err(e)),
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    let TenantSlot::Resident(tenant) = slot else {
-                        return PrepOutcome::Done(Err(OnlineError::Hibernated { tenant: id }));
-                    };
-                    // The tenant boundary: a panicking tenant (injected or
-                    // real) poisons only its own slot.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        tenant_prepare(
-                            tenant,
-                            index,
-                            round,
-                            now,
-                            covered[index],
-                            bus.as_deref(),
-                            faults.as_ref(),
-                            &actions_ref[index],
-                            &mut buf,
-                            &sharing,
-                        )
-                    }))
-                    .unwrap_or_else(|payload| {
-                        PrepOutcome::Done(Err(OnlineError::TenantPanicked {
-                            tenant: id,
-                            message: panic_message(payload),
-                        }))
-                    })
-                })
-                .collect::<Vec<PrepOutcome>>()
-        };
-        let prepare_outcome = catch_unwind(AssertUnwindSafe(|| {
-            if use_pool {
-                self.pool
-                    .map_chunks_mut(&mut self.tenants, workers, prepare_work)
-            } else {
-                map_chunks_mut(&mut self.tenants, workers, prepare_work)
-            }
+        let planned = catch_unwind(AssertUnwindSafe(|| {
+            self.plan_tenants(round, now, covered, &actions)
         }));
         // Every prepared tenant's ring/stats advanced (the prepare phase
         // drains, ingests and refits even on the error path), so those
@@ -1433,8 +1387,8 @@ impl TenantFleet {
                 self.dirty[i] = true;
             }
         }
-        let per_chunk: Vec<Vec<PrepOutcome>> = match prepare_outcome {
-            Ok(per_chunk) => per_chunk,
+        let results = match planned {
+            Ok(results) => results,
             Err(payload) => {
                 // A panic escaped the tenant boundary (injected worker
                 // fault or pool bug): the round is aborted whole. Tenant
@@ -1450,239 +1404,6 @@ impl TenantFleet {
                 });
             }
         };
-        let prep: Vec<PrepOutcome> = per_chunk.into_iter().flatten().collect();
-        let plans_pending = prep
-            .iter()
-            .filter(|outcome| matches!(outcome, PrepOutcome::Plan { .. }))
-            .count();
-        // Phase 2 — cluster assembly, serial: group the tenants that still
-        // need Monte Carlo planning by forecast fingerprint and sample one
-        // shared arrival matrix per multi-member cluster. Serial on
-        // purpose: membership, horizons and sampler seeds become a pure
-        // function of (tenant states, round) — identical for any worker
-        // count — and the seeds come from the keys themselves, so no
-        // tenant's RNG stream is touched. Any failure to build a cluster's
-        // matrix silently degrades its members to the private path.
-        let mut samplers: Vec<ArrivalSampler> = Vec::new();
-        let mut cluster_of: Vec<Option<usize>> = vec![None; prep.len()];
-        if self.sharing.enabled && plans_pending > 0 {
-            let mut clusters: std::collections::HashMap<ClusterKey, Vec<usize>> =
-                std::collections::HashMap::new();
-            // First-seen key order, so sampler assembly never iterates the
-            // map (iteration order would leak the hasher into timing — the
-            // plans themselves stay order-independent either way).
-            let mut order: Vec<ClusterKey> = Vec::new();
-            for (i, outcome) in prep.iter().enumerate() {
-                if let PrepOutcome::Plan { key: Some(key), .. } = outcome {
-                    clusters
-                        .entry(*key)
-                        .or_insert_with(|| {
-                            order.push(*key);
-                            Vec::new()
-                        })
-                        .push(i);
-                }
-            }
-            for key in order {
-                let members = &clusters[&key];
-                if members.len() < 2 {
-                    // A singleton gains nothing from the representative
-                    // approximation — private sampling costs the same.
-                    continue;
-                }
-                let horizon = members
-                    .iter()
-                    .map(|&i| match prep[i] {
-                        PrepOutcome::Plan { wanted, .. } => wanted,
-                        PrepOutcome::Done(_) => 0,
-                    })
-                    .max()
-                    .unwrap_or(0)
-                    .max(1);
-                let Ok(representative) = key.representative_intensity() else {
-                    continue;
-                };
-                let mut rng = StdRng::seed_from_u64(key.seed(round));
-                let Ok(sampler) =
-                    ArrivalSampler::new(&representative, now, horizon, key.samples(), &mut rng)
-                else {
-                    continue;
-                };
-                let slot = samplers.len();
-                samplers.push(sampler);
-                for &i in members {
-                    cluster_of[i] = Some(slot);
-                }
-            }
-        }
-        // Phase 2b — decision-dedup grouping (Layer 1), serial: members of
-        // one sampling cluster that plan against the same shared matrix
-        // with the same covered count share a [`PlanKey`]; the cluster key
-        // already pins the rule, pending model, replication count and
-        // window geometry, so under a *deterministic* pending model (the
-        // decision loop then consumes no caller RNG) their decision
-        // schedules are provably identical. The first such member in
-        // tenant order leads; the rest adopt its schedule after the plan
-        // phase. Grouping is serial and index-ordered for the same
-        // worker-invariance reasons as the cluster assembly above.
-        let mut adopt_from: Vec<Option<usize>> = vec![None; prep.len()];
-        if self.sharing.enabled && self.sharing.decision_dedup {
-            let mut leaders: std::collections::HashMap<PlanKey, usize> =
-                std::collections::HashMap::new();
-            for (i, outcome) in prep.iter().enumerate() {
-                let PrepOutcome::Plan { key: Some(key), .. } = outcome else {
-                    continue;
-                };
-                // Only members actually planning against a shared matrix
-                // can dedup: a degraded (private) member's plan depends on
-                // its own forecast and RNG stream.
-                if cluster_of[i].is_none() {
-                    continue;
-                }
-                let TenantSlot::Resident(tenant) = &self.tenants[i] else {
-                    continue;
-                };
-                if !matches!(
-                    tenant.scaler.config().pipeline.pending,
-                    PendingTimeModel::Deterministic(_)
-                ) {
-                    continue;
-                }
-                match leaders.entry(PlanKey::new(*key, covered[i])) {
-                    std::collections::hash_map::Entry::Occupied(leader) => {
-                        adopt_from[i] = Some(*leader.get());
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
-                }
-            }
-        }
-        // Phase 3 — plan, batch-major: the Monte Carlo stage for every
-        // tenant the prepare phase left pending, against its cluster's
-        // shared matrix when one was built. Skipped entirely when nothing
-        // is pending (the common case for mostly-hibernated fleets), so
-        // quiet rounds pay no second parallel pass.
-        type PlanResult = Option<(Result<PlanningRound, OnlineError>, bool)>;
-        let mut plan_results: Vec<PlanResult> = if plans_pending == 0 {
-            prep.iter().map(|_| None).collect()
-        } else {
-            let prep_ref = &prep;
-            let cluster_ref = &cluster_of;
-            let samplers_ref = &samplers;
-            let adopt_ref = &adopt_from;
-            let plan_work = |start: usize, chunk: &mut [TenantSlot]| {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        let index = start + i;
-                        if !matches!(prep_ref[index], PrepOutcome::Plan { .. }) {
-                            return None;
-                        }
-                        if adopt_ref[index].is_some() {
-                            // Plan-group follower: served in the serial
-                            // adoption pass below, after its leader planned.
-                            return None;
-                        }
-                        let TenantSlot::Resident(tenant) = slot else {
-                            // The prepare phase only leaves resident
-                            // tenants pending.
-                            return Some((
-                                Err(OnlineError::Hibernated { tenant: slot.id() }),
-                                false,
-                            ));
-                        };
-                        let sampler = cluster_ref[index].map(|slot| &samplers_ref[slot]);
-                        let id = tenant.id;
-                        Some(
-                            catch_unwind(AssertUnwindSafe(|| {
-                                tenant_plan(tenant, now, covered[index], sampler)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                (
-                                    Err(OnlineError::TenantPanicked {
-                                        tenant: id,
-                                        message: panic_message(payload),
-                                    }),
-                                    false,
-                                )
-                            }),
-                        )
-                    })
-                    .collect::<Vec<PlanResult>>()
-            };
-            let plan_outcome = catch_unwind(AssertUnwindSafe(|| {
-                if use_pool {
-                    self.pool
-                        .map_chunks_mut(&mut self.tenants, workers, plan_work)
-                } else {
-                    map_chunks_mut(&mut self.tenants, workers, plan_work)
-                }
-            }));
-            match plan_outcome {
-                Ok(per_chunk) => per_chunk.into_iter().flatten().collect(),
-                Err(payload) => {
-                    // Same whole-round abort contract as the prepare phase.
-                    self.dirty.fill(true);
-                    self.round_counter += 1;
-                    return Err(OnlineError::RoundPanicked {
-                        message: panic_message(payload),
-                    });
-                }
-            }
-        };
-        // Phase 3b — adoption, serial: each plan-group follower adopts its
-        // leader's decision schedule when the leader actually planned on
-        // the shared path. If the leader degraded to private sampling,
-        // errored, or panicked, the follower runs its own full plan stage
-        // instead — bit-identical to never having been grouped (adoption
-        // consumes no tenant RNG either way).
-        for i in 0..plan_results.len() {
-            let Some(leader) = adopt_from[i] else {
-                continue;
-            };
-            let adopted = match &plan_results[leader] {
-                Some((Ok(round), true)) => Some(round.clone()),
-                _ => None,
-            };
-            let id = self.tenants[i].id();
-            let TenantSlot::Resident(tenant) = &mut self.tenants[i] else {
-                plan_results[i] = Some((Err(OnlineError::Hibernated { tenant: id }), false));
-                continue;
-            };
-            let result = if let Some(round) = adopted {
-                self.deduped_plan_rounds += 1;
-                (Ok(tenant.scaler.adopt_shared(now, &round)), true)
-            } else {
-                let sampler = cluster_of[i].map(|slot| &samplers[slot]);
-                catch_unwind(AssertUnwindSafe(|| {
-                    tenant_plan(tenant, now, covered[i], sampler)
-                }))
-                .unwrap_or_else(|payload| {
-                    (
-                        Err(OnlineError::TenantPanicked {
-                            tenant: id,
-                            message: panic_message(payload),
-                        }),
-                        false,
-                    )
-                })
-            };
-            plan_results[i] = Some(result);
-        }
-        let results: Vec<Result<PlanningRound, OnlineError>> = prep
-            .into_iter()
-            .zip(plan_results)
-            .map(|(outcome, planned)| match outcome {
-                PrepOutcome::Done(result) => result,
-                PrepOutcome::Plan { .. } => {
-                    planned
-                        .expect("plan phase produced a result for every pending tenant")
-                        .0
-                }
-            })
-            .collect();
         // Attribute the page-ins the parallel section performed: a wake
         // whose slot is resident now paged in successfully; one still
         // paged failed (and will retry next round).
@@ -1716,6 +1437,293 @@ impl TenantFleet {
         }
         self.residency_events.extend(residency_events);
         Ok(results)
+    }
+
+    /// The planning phases of a round, one result per tenant. A panic
+    /// that escapes the tenant boundary unwinds out of here and aborts
+    /// the round in [`TenantFleet::run_round`].
+    ///
+    /// 1. Prepare, arrival-major, on the pool: each worker wakes, drains
+    ///    and prepares *all* of its tenants (recovery → drain → ingest →
+    ///    refit → sufficiency check) before any Monte Carlo planning
+    ///    runs, so the later phases see every tenant's final forecast.
+    /// 2. Cluster assembly and plan grouping, serial (see
+    ///    [`TenantFleet::sharing_clusters`] and
+    ///    [`TenantFleet::plan_groups`]).
+    /// 3. Plan, batch-major, on the pool: the Monte Carlo stage for every
+    ///    pending tenant except plan-group followers, against its
+    ///    cluster's shared matrix when one was built. Skipped entirely
+    ///    when nothing is pending (the common case for mostly-hibernated
+    ///    fleets), so quiet rounds pay no second parallel pass.
+    /// 4. Adoption, serial, in tenant order: each follower adopts its
+    ///    leader's decision schedule when the leader actually planned on
+    ///    the shared path. If the leader degraded to private sampling,
+    ///    errored, or panicked, the follower runs its own plan stage
+    ///    instead — bit-identical to never having been grouped (adoption
+    ///    consumes no tenant RNG either way).
+    fn plan_tenants(
+        &mut self,
+        round: u64,
+        now: f64,
+        covered: &[usize],
+        actions: &[TenantAction],
+    ) -> Vec<Result<PlanningRound, OnlineError>> {
+        let workers = self.workers;
+        let bus = self.bus.as_deref();
+        let faults = self.faults;
+        let sharing = self.sharing;
+        let pager = self.pager();
+        let prep: Vec<PrepOutcome> = self
+            .pool
+            .map_chunks_mut(&mut self.tenants, workers, |start, chunk| {
+                // Injected worker-thread death: fires at the chunk
+                // boundary, outside any tenant, so the whole round aborts
+                // (see the module docs — this fault class is
+                // worker-count-dependent).
+                if let Some(injector) = &faults {
+                    if injector.worker_panics(round, start) {
+                        panic!("injected worker panic (round {round}, chunk {start})");
+                    }
+                }
+                // One drain buffer per worker chunk, reused across its tenants.
+                let mut buf = Vec::new();
+                chunk
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, slot)| {
+                        let index = start + i;
+                        let action = &actions[index];
+                        // Dormant tenants are not touched at all — that
+                        // is the whole round-latency win.
+                        if matches!(action, TenantAction::Dormant) {
+                            return PrepOutcome::Done(Err(OnlineError::Hibernated {
+                                tenant: slot.id(),
+                            }));
+                        }
+                        if let (TenantAction::Wake { .. }, TenantSlot::Paged(paged)) =
+                            (action, &*slot)
+                        {
+                            match pager.wake(paged) {
+                                Ok(tenant) => *slot = TenantSlot::Resident(tenant),
+                                // A failed page-in leaves the tenant
+                                // paged; the wake trigger persists, so
+                                // next round retries.
+                                Err(e) => return PrepOutcome::Done(Err(e)),
+                            }
+                        }
+                        let TenantSlot::Resident(tenant) = slot else {
+                            return PrepOutcome::Done(Err(OnlineError::Hibernated {
+                                tenant: slot.id(),
+                            }));
+                        };
+                        tenant_boundary(tenant.id, || {
+                            tenant_prepare(
+                                tenant,
+                                index,
+                                round,
+                                now,
+                                covered[index],
+                                bus,
+                                faults.as_ref(),
+                                action,
+                                &mut buf,
+                                &sharing,
+                            )
+                        })
+                        .unwrap_or_else(|e| PrepOutcome::Done(Err(e)))
+                    })
+                    .collect::<Vec<PrepOutcome>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let pending = prep
+            .iter()
+            .any(|outcome| matches!(outcome, PrepOutcome::Plan { .. }));
+        let (samplers, cluster_of) = self.sharing_clusters(&prep, round, now);
+        let adopt_from = self.plan_groups(&prep, &cluster_of, covered);
+        type Planned = Option<(Result<PlanningRound, OnlineError>, bool)>;
+        let planned: Vec<Planned> = if pending {
+            self.pool
+                .map_chunks_mut(&mut self.tenants, workers, |start, chunk| {
+                    chunk
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, slot)| {
+                            let index = start + i;
+                            let TenantSlot::Resident(tenant) = slot else {
+                                return None;
+                            };
+                            if !matches!(prep[index], PrepOutcome::Plan { .. })
+                                || adopt_from[index].is_some()
+                            {
+                                return None;
+                            }
+                            let sampler = cluster_of[index].map(|slot| &samplers[slot]);
+                            Some(tenant_plan(tenant, now, covered[index], sampler))
+                        })
+                        .collect::<Vec<Planned>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut planned = planned.into_iter();
+        let mut results: Vec<(Result<PlanningRound, OnlineError>, bool)> =
+            Vec::with_capacity(prep.len());
+        for (i, outcome) in prep.into_iter().enumerate() {
+            let result = match (outcome, planned.next().flatten()) {
+                (PrepOutcome::Done(result), _) => (result, false),
+                (PrepOutcome::Plan { .. }, Some(result)) => result,
+                (PrepOutcome::Plan { .. }, None) => {
+                    let adopted = adopt_from[i].and_then(|leader| match results.get(leader) {
+                        Some((Ok(schedule), true)) => Some(schedule.clone()),
+                        _ => None,
+                    });
+                    let sampler = cluster_of[i].map(|slot| &samplers[slot]);
+                    match (&mut self.tenants[i], adopted) {
+                        (TenantSlot::Resident(tenant), Some(schedule)) => {
+                            self.deduped_plan_rounds += 1;
+                            (Ok(tenant.scaler.adopt_shared(now, &schedule)), true)
+                        }
+                        (TenantSlot::Resident(tenant), None) => {
+                            tenant_plan(tenant, now, covered[i], sampler)
+                        }
+                        // The prepare phase only leaves resident tenants
+                        // pending.
+                        (slot, _) => (Err(OnlineError::Hibernated { tenant: slot.id() }), false),
+                    }
+                }
+            };
+            results.push(result);
+        }
+        results.into_iter().map(|(result, _)| result).collect()
+    }
+
+    /// Cluster assembly (round phase 2), serial: group the tenants that
+    /// still need Monte Carlo planning by forecast fingerprint and sample
+    /// one shared arrival matrix per multi-member cluster. Returns the
+    /// matrices and each tenant's matrix index. Serial on purpose:
+    /// membership, horizons and sampler seeds become a pure function of
+    /// (tenant states, round) — identical for any worker count — and the
+    /// seeds come from the keys themselves, so no tenant's RNG stream is
+    /// touched. Any failure to build a cluster's matrix silently degrades
+    /// its members to the private path.
+    fn sharing_clusters(
+        &self,
+        prep: &[PrepOutcome],
+        round: u64,
+        now: f64,
+    ) -> (Vec<ArrivalSampler>, Vec<Option<usize>>) {
+        let mut samplers: Vec<ArrivalSampler> = Vec::new();
+        let mut cluster_of: Vec<Option<usize>> = vec![None; prep.len()];
+        if !self.sharing.enabled {
+            return (samplers, cluster_of);
+        }
+        let mut clusters: std::collections::HashMap<ClusterKey, Vec<usize>> =
+            std::collections::HashMap::new();
+        // First-seen key order, so sampler assembly never iterates the
+        // map (iteration order would leak the hasher into timing — the
+        // plans themselves stay order-independent either way).
+        let mut order: Vec<ClusterKey> = Vec::new();
+        for (i, outcome) in prep.iter().enumerate() {
+            if let PrepOutcome::Plan { key: Some(key), .. } = outcome {
+                clusters
+                    .entry(*key)
+                    .or_insert_with(|| {
+                        order.push(*key);
+                        Vec::new()
+                    })
+                    .push(i);
+            }
+        }
+        for key in order {
+            let members = &clusters[&key];
+            if members.len() < 2 {
+                // A singleton gains nothing from the representative
+                // approximation — private sampling costs the same.
+                continue;
+            }
+            let horizon = members
+                .iter()
+                .map(|&i| match prep[i] {
+                    PrepOutcome::Plan { wanted, .. } => wanted,
+                    PrepOutcome::Done(_) => 0,
+                })
+                .max()
+                .unwrap_or(0)
+                .max(1);
+            let Ok(representative) = key.representative_intensity() else {
+                continue;
+            };
+            let mut rng = StdRng::seed_from_u64(key.seed(round));
+            let Ok(sampler) =
+                ArrivalSampler::new(&representative, now, horizon, key.samples(), &mut rng)
+            else {
+                continue;
+            };
+            let slot = samplers.len();
+            samplers.push(sampler);
+            for &i in members {
+                cluster_of[i] = Some(slot);
+            }
+        }
+        (samplers, cluster_of)
+    }
+
+    /// Decision-dedup grouping (Layer 1, round phase 2b), serial: members
+    /// of one sampling cluster that plan against the same shared matrix
+    /// with the same covered count share a [`PlanKey`]; the cluster key
+    /// already pins the rule, pending model, replication count and window
+    /// geometry, so under a *deterministic* pending model (the decision
+    /// loop then consumes no caller RNG) their decision schedules are
+    /// provably identical. The first such member in tenant order leads;
+    /// returns, per tenant, the leader a follower adopts from. Grouping is
+    /// serial and index-ordered for the same worker-invariance reasons as
+    /// the cluster assembly.
+    fn plan_groups(
+        &self,
+        prep: &[PrepOutcome],
+        cluster_of: &[Option<usize>],
+        covered: &[usize],
+    ) -> Vec<Option<usize>> {
+        let mut adopt_from: Vec<Option<usize>> = vec![None; prep.len()];
+        if !(self.sharing.enabled && self.sharing.decision_dedup) {
+            return adopt_from;
+        }
+        let mut leaders: std::collections::HashMap<PlanKey, usize> =
+            std::collections::HashMap::new();
+        for (i, outcome) in prep.iter().enumerate() {
+            let PrepOutcome::Plan { key: Some(key), .. } = outcome else {
+                continue;
+            };
+            // Only members actually planning against a shared matrix can
+            // dedup: a degraded (private) member's plan depends on its own
+            // forecast and RNG stream.
+            if cluster_of[i].is_none() {
+                continue;
+            }
+            let TenantSlot::Resident(tenant) = &self.tenants[i] else {
+                continue;
+            };
+            if !matches!(
+                tenant.scaler.config().pipeline.pending,
+                PendingTimeModel::Deterministic(_)
+            ) {
+                continue;
+            }
+            match leaders.entry(PlanKey::new(*key, covered[i])) {
+                std::collections::hash_map::Entry::Occupied(leader) => {
+                    adopt_from[i] = Some(*leader.get());
+                }
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert(i);
+                }
+            }
+        }
+        adopt_from
     }
 
     /// Fold one round's actions and results into the residency state:
@@ -2078,55 +2086,59 @@ impl TenantFleet {
         self.run_round(now, &covered)
     }
 
-    /// Drain every tenant's arrival queue into its ring *without*
+    /// Drain every awake tenant's arrival queue into its ring *without*
     /// planning — a parallel ingestion-only pass (flushing before a
-    /// checkpoint, and the `ingest_throughput` bench). Returns the total
-    /// arrivals drained. A no-op without a bus.
+    /// checkpoint, and the `ingest_throughput` bench) through the same
+    /// drain step as a round, injected arrival corruption included.
+    /// Returns the total arrivals drained. A no-op without a bus.
+    ///
+    /// Cold tenants keep their arrivals queued: the queue *is* their wake
+    /// trigger, and draining it here would need a paged-out scaler
+    /// anyway. A checkpoint still captures queued arrivals, so nothing is
+    /// lost. Fails while a trace recording is active: a trace replays
+    /// drains only as part of rounds.
     pub fn drain_bus(&mut self) -> Result<u64, OnlineError> {
+        if self.recorder.is_some() {
+            return Err(OnlineError::InvalidConfig(
+                "drain_bus cannot run while a trace recording is active",
+            ));
+        }
         let Some(bus) = self.bus.clone() else {
             return Ok(0);
         };
-        let workers = self.workers;
-        let residency_on = self.residency.is_some();
+        let round = self.round_counter;
+        let faults = self.faults;
         let residency_state: &[Residency] = &self.residency_state;
-        let per_chunk: Vec<Result<Vec<u64>, OnlineError>> =
+        let per_chunk: Vec<Vec<Result<usize, OnlineError>>> =
             self.pool
-                .map_chunks_mut(&mut self.tenants, workers, |start, chunk| {
+                .map_chunks_mut(&mut self.tenants, self.workers, |start, chunk| {
                     let mut buf = Vec::new();
                     chunk
                         .iter_mut()
                         .enumerate()
                         .map(|(i, slot)| {
                             let index = start + i;
-                            // Cold tenants keep their arrivals queued: the
-                            // queue *is* their wake trigger, and draining it
-                            // here would need a paged-out scaler anyway. A
-                            // checkpoint still captures queued arrivals, so
-                            // nothing is lost.
-                            if residency_on
-                                && matches!(residency_state[index], Residency::Cold { .. })
-                            {
-                                return Ok(0u64);
+                            match slot {
+                                TenantSlot::Resident(tenant)
+                                    if matches!(residency_state[index], Residency::Hot { .. }) =>
+                                {
+                                    drain_tenant(
+                                        tenant,
+                                        index,
+                                        round,
+                                        &bus,
+                                        faults.as_ref(),
+                                        &mut buf,
+                                    )
+                                }
+                                _ => Ok(0),
                             }
-                            let TenantSlot::Resident(tenant) = slot else {
-                                return Ok(0u64);
-                            };
-                            let n = bus.drain_into(index, &mut buf)?;
-                            if n > 0 {
-                                tenant.scaler.ingest_batch(&buf);
-                            }
-                            Ok(n as u64)
                         })
                         .collect()
                 });
         let mut total = 0u64;
-        for (index, n) in per_chunk
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .flatten()
-            .enumerate()
-        {
+        for (index, n) in per_chunk.into_iter().flatten().enumerate() {
+            let n = n? as u64;
             if n > 0 {
                 self.dirty[index] = true;
             }
@@ -2188,9 +2200,7 @@ impl TenantFleet {
         let round = self.round_counter;
         let residency_on = self.residency.is_some();
         let residency_state: &[Residency] = &self.residency_state;
-        let config = self.config;
-        let origin = self.origin;
-        let hibernation = self.hibernation.as_ref();
+        let pager = self.pager();
         let snapshots: Vec<TenantSnapshot> = self
             .pool
             .parallel_map(&indexed, self.workers, |&(index, slot)| {
@@ -2200,19 +2210,9 @@ impl TenantFleet {
                 // hibernation directory.
                 let scaler_snapshot = match slot {
                     TenantSlot::Resident(tenant) => tenant.scaler.snapshot(),
-                    TenantSlot::Paged(paged) => match paged.kind {
-                        PageKind::Virgin => {
-                            OnlineScaler::with_seed(config, origin, paged.seed)?.snapshot()
-                        }
-                        PageKind::OnDisk { checksum } => hibernation
-                            .ok_or_else(|| OnlineError::Checkpoint {
-                                shard: None,
-                                message: format!(
-                                    "tenant {} is paged out but no hibernation store is attached",
-                                    paged.id
-                                ),
-                            })?
-                            .page_in(paged.id, PageReceipt { checksum })?,
+                    TenantSlot::Paged(paged) => match pager.load(paged)? {
+                        PagedState::Fresh(scaler) => scaler.snapshot(),
+                        PagedState::Page(snapshot) => snapshot,
                     },
                 };
                 let mut snapshot = TenantSnapshot::new(slot.id(), scaler_snapshot);
@@ -2402,32 +2402,6 @@ impl TenantFleet {
         Self::restore_from(CheckpointStore::new(dir.as_ref()), config).map(|(fleet, _)| fleet)
     }
 
-    /// [`TenantFleet::restore`] with the recovery surfaced: returns the
-    /// restored fleet plus the store's fallback notes (non-empty when the
-    /// newest generation was corrupt and an older restorable one was used
-    /// — each note names the generation that was skipped and why).
-    pub fn restore_with_report(
-        dir: impl AsRef<Path>,
-        config: &OnlineConfig,
-    ) -> Result<(Self, Vec<String>), OnlineError> {
-        Self::restore_from(CheckpointStore::new(dir.as_ref()), config)
-    }
-
-    /// [`TenantFleet::restore`] through an injected storage backend
-    /// (chaos tests exercise the retry/scan-back machinery with a
-    /// [`crate::faults::FaultyStorage`] here). The restored fleet keeps
-    /// `storage` for its subsequent checkpoints.
-    pub fn restore_with_storage(
-        dir: impl AsRef<Path>,
-        config: &OnlineConfig,
-        storage: Arc<dyn CheckpointStorage>,
-    ) -> Result<(Self, Vec<String>), OnlineError> {
-        let store = CheckpointStore::with_storage(dir.as_ref(), Arc::clone(&storage));
-        let (mut fleet, notes) = Self::restore_from(store, config)?;
-        fleet.checkpoint_storage = Some(storage);
-        Ok((fleet, notes))
-    }
-
     /// Restore a fleet from the checkpoint in `dir` **and re-arm its
     /// runtime wiring** in one step.
     ///
@@ -2466,7 +2440,7 @@ impl TenantFleet {
     }
 
     /// True when this fleet came from a plain [`TenantFleet::restore`]
-    /// (or [`TenantFleet::restore_with_report`]) and its supervisor
+    /// and its supervisor
     /// policy, fault plan and storage wiring have **not** been re-armed —
     /// they are defaults, not what the checkpointed session ran with.
     /// Cleared by [`TenantFleet::restore_with`],
@@ -2857,23 +2831,6 @@ mod tests {
     }
 
     #[test]
-    fn spawning_rounds_match_pool_rounds() {
-        let config = fleet_config();
-        let run = |spawning: bool| {
-            let mut fleet = TenantFleet::new(&config, 0.0, 5, 3).unwrap();
-            fleet.set_workers(3);
-            fleet.attach_bus(small_bus_config()).unwrap();
-            enqueue_uniform(&fleet, 400.0);
-            if spawning {
-                fleet.run_round_spawning(400.0, &[0; 5]).unwrap()
-            } else {
-                fleet.run_round(400.0, &[0; 5]).unwrap()
-            }
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn drain_bus_flushes_queues_without_planning() {
         let mut fleet = TenantFleet::new(&fleet_config(), 0.0, 3, 5).unwrap();
         assert_eq!(fleet.drain_bus().unwrap(), 0); // no bus: no-op
@@ -2885,6 +2842,33 @@ mod tests {
         assert_eq!(stats.arrivals_ingested, queued);
         assert_eq!(stats.planning_rounds, 0);
         assert_eq!(fleet.drain_bus().unwrap(), 0);
+    }
+
+    #[test]
+    fn drain_bus_applies_injected_corruption_like_a_round() {
+        // Every drained batch gets one NaN: flushing the bus ahead of a
+        // round must corrupt (and so drop) exactly what the round's own
+        // drain would have.
+        let config = fleet_config();
+        let plan = FaultPlan {
+            seed: 9,
+            arrival_nan: 1.0,
+            ..FaultPlan::default()
+        };
+        let run = |flush_first: bool| {
+            let mut fleet = TenantFleet::new(&config, 0.0, 3, 5).unwrap();
+            fleet.attach_bus(small_bus_config()).unwrap();
+            fleet.set_faults(plan);
+            enqueue_uniform(&fleet, 400.0);
+            if flush_first {
+                assert!(fleet.drain_bus().unwrap() > 0);
+            }
+            let plans = fleet.run_round_uniform(400.0, 0).unwrap();
+            (plans, fleet.aggregate_stats())
+        };
+        let (plans, stats) = run(false);
+        assert_eq!(stats.arrivals_dropped, 3, "one NaN per tenant: {stats:?}");
+        assert_eq!(run(true), (plans, stats));
     }
 
     #[test]

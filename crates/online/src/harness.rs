@@ -27,6 +27,7 @@ use crate::replay::{
 };
 use crate::scaler::{OnlineConfig, OnlineScaler, OnlineStats};
 use robustscaler_core::relative_cost;
+use robustscaler_scaling::PlanningRound;
 use robustscaler_simulator::{
     Autoscaler, Reactive, ScalingCommand, SimulationConfig, SimulationMetrics, Simulator,
     SystemState, Trace,
@@ -130,53 +131,26 @@ impl Autoscaler for OnlinePolicy {
             Vec::new()
         };
         let mut buf = std::mem::take(&mut self.drain_buf);
-        let drained = matches!(self.bus.drain_into(0, &mut buf), Ok(1..));
-        // Record the *uncorrupted* drain: replay re-applies the same
-        // injected corruption from the header's fault plan, so the trace
-        // stores what actually arrived.
-        let recorded_arrivals = if self.recorder.is_some() {
-            Some(buf.clone())
-        } else {
-            None
-        };
-        if drained {
-            if let Some(injector) = &self.faults {
-                injector.corrupt_arrivals(self.round, 0, &mut buf);
-            }
-            self.scaler.ingest_batch(&buf);
-        }
-        let injected = self
-            .faults
-            .as_ref()
-            .and_then(|injector| injector.plan_fault(self.round, 0))
-            .is_some();
-        let result = if injected {
-            // Both flavours of injected plan fault (error and panic)
-            // surface here as a planning error: a single-scaler policy has
-            // no supervisor, so there is no catch boundary to distinguish
-            // them — the round is simply counted as failed.
-            Err(OnlineError::Injected {
-                round: self.round,
-                tenant: 0,
-            })
-        } else {
-            self.scaler.plan_round(state.now, state.covered())
-        };
+        let (result, recorded_arrivals) = single_tenant_tick(
+            &mut self.scaler,
+            &self.bus,
+            &mut buf,
+            self.faults.as_ref(),
+            self.round,
+            state.now,
+            state.covered(),
+            self.recorder.is_some(),
+        );
+        // Not trained yet (cold start) or a transient planning failure
+        // emits nothing and lets reactive cold starts carry the tenant —
+        // a serving process must not abort on one bad round.
         let commands = match &result {
             Ok(round) => round
                 .decisions
                 .iter()
                 .map(|d| ScalingCommand::CreateAt(d.creation_time))
                 .collect(),
-            // Not trained yet (cold start) or a transient planning failure:
-            // emit nothing and let reactive cold starts carry the tenant —
-            // a serving process must not abort on one bad round. The
-            // failure is counted so persistent breakage stays visible in
-            // `OnlineStats::failed_rounds` / the harness report.
-            Err(_) => {
-                self.scaler.record_failed_round();
-                Vec::new()
-            }
+            Err(_) => Vec::new(),
         };
         if let Some(recorder) = &mut self.recorder {
             let post_events = vec![self.scaler.take_trace_events()];
@@ -210,6 +184,49 @@ impl Autoscaler for OnlinePolicy {
     fn cancel_scheduled_on_cold_start(&self) -> bool {
         true
     }
+}
+
+/// One single-tenant serving tick, shared by [`OnlinePolicy`] and the
+/// replay of a single-scaler trace: drain the queue, apply the fault
+/// plan's arrival corruption for `round`, batch-ingest, then plan.
+///
+/// A failed plan is counted in [`OnlineStats::failed_rounds`] (so
+/// persistent breakage stays visible) and returned; so is a failed drain.
+/// Both flavours of injected plan fault (error and panic) surface as
+/// [`OnlineError::Injected`]: a single scaler has no supervisor, so there
+/// is no catch boundary to tell them apart. With `keep_arrivals`, also
+/// returns the drained batch *before* corruption — what a trace records,
+/// since replay re-applies the corruption from the header's fault plan.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn single_tenant_tick(
+    scaler: &mut OnlineScaler,
+    bus: &ArrivalBus,
+    buf: &mut Vec<f64>,
+    faults: Option<&FaultInjector>,
+    round: u64,
+    now: f64,
+    covered: usize,
+    keep_arrivals: bool,
+) -> (Result<PlanningRound, OnlineError>, Option<Vec<f64>>) {
+    let drained = bus.drain_into(0, buf);
+    let kept = keep_arrivals.then(|| buf.clone());
+    let result = drained.and_then(|drained| {
+        if drained > 0 {
+            if let Some(injector) = faults {
+                injector.corrupt_arrivals(round, 0, buf);
+            }
+            scaler.ingest_batch(buf);
+        }
+        if faults.is_some_and(|injector| injector.plan_fault(round, 0).is_some()) {
+            Err(OnlineError::Injected { round, tenant: 0 })
+        } else {
+            scaler.plan_round(now, covered)
+        }
+    });
+    if result.is_err() {
+        scaler.record_failed_round();
+    }
+    (result, kept)
 }
 
 /// Configuration of a closed-loop harness run.

@@ -61,11 +61,10 @@ pub const DEFAULT_TENANTS_PER_GROUP: usize = 64;
 
 /// Shape of an [`ArrivalBus`]: per-tenant queue bound and lock sharding.
 ///
-/// `Deserialize` is hand-written (below): the config persists in
-/// checkpoint manifests and trace headers written before the
-/// adaptive-capacity and drain-budget fields existed, so absent keys
-/// must default to `0` (both features off) instead of erroring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// The config persists in checkpoint manifests and trace headers written
+/// before the adaptive-capacity and drain-budget fields existed, so those
+/// absent keys default to `0` (both features off) instead of erroring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BusConfig {
     /// Arrivals queued per tenant before pushes are rejected. With
     /// adaptive capacity ([`BusConfig::max_capacity_per_tenant`]) this is
@@ -82,6 +81,7 @@ pub struct BusConfig {
     /// Per-queue growth is driven only by that queue's push sequence, so
     /// determinism is unaffected. Not persisted per tenant: a restored
     /// bus regrows from the base bound on demand.
+    #[serde(default)]
     pub max_capacity_per_tenant: usize,
     /// Per-round drain budget: a round's [`ArrivalBus::drain_into`] moves
     /// at most this many arrivals (oldest first, in enqueue order) and
@@ -91,28 +91,8 @@ pub struct BusConfig {
     /// backlog. Count-based rather than time-based on purpose: a count is
     /// a pure function of the queue state, so replay and worker-count
     /// invariance hold. `0` (the default) means unbounded.
+    #[serde(default)]
     pub max_drain_per_round: usize,
-}
-
-impl Deserialize for BusConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in BusConfig"
-            ))),
-        };
-        let default_zero = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Ok(0),
-        };
-        Ok(Self {
-            capacity_per_tenant: require("capacity_per_tenant")?,
-            tenants_per_group: require("tenants_per_group")?,
-            max_capacity_per_tenant: default_zero("max_capacity_per_tenant")?,
-            max_drain_per_round: default_zero("max_drain_per_round")?,
-        })
-    }
 }
 
 impl Default for BusConfig {
@@ -163,9 +143,8 @@ impl BusConfig {
 /// Back-pressure and drain accounting for one tenant's queue (or, via
 /// [`QueueStats::merge`], an aggregate across tenants).
 ///
-/// `Deserialize` is hand-written for the same reason as [`BusConfig`]'s:
-/// persisted stats predating [`QueueStats::spilled`] must default it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// Persisted stats predating [`QueueStats::spilled`] load with it at `0`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Arrivals accepted into the queue.
     pub enqueued: u64,
@@ -184,29 +163,8 @@ pub struct QueueStats {
     /// [`BusConfig::max_drain_per_round`]). Each spilled arrival is
     /// counted once per round it waits, so this doubles as a
     /// backlog-latency signal.
+    #[serde(default)]
     pub spilled: u64,
-}
-
-impl Deserialize for QueueStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in QueueStats"
-            ))),
-        };
-        Ok(Self {
-            enqueued: require("enqueued")?,
-            dropped_full: require("dropped_full")?,
-            queued_peak: require("queued_peak")?,
-            drained: require("drained")?,
-            drains: require("drains")?,
-            spilled: match v.get("spilled") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-        })
-    }
 }
 
 impl QueueStats {
@@ -534,6 +492,26 @@ impl ArrivalBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn persisted_configs_and_stats_default_only_their_newer_fields() {
+        let config: BusConfig =
+            serde_json::from_str(r#"{"capacity_per_tenant":8,"tenants_per_group":2}"#).unwrap();
+        assert_eq!(config.max_capacity_per_tenant, 0);
+        assert_eq!(config.max_drain_per_round, 0);
+        let missing = serde_json::from_str::<BusConfig>(r#"{"capacity_per_tenant":8}"#);
+        assert!(missing
+            .unwrap_err()
+            .to_string()
+            .contains("tenants_per_group"));
+        let stats: QueueStats = serde_json::from_str(
+            r#"{"enqueued":5,"dropped_full":1,"queued_peak":4,"drained":4,"drains":2}"#,
+        )
+        .unwrap();
+        assert_eq!(stats.spilled, 0);
+        assert_eq!(stats.drained, 4);
+        assert!(serde_json::from_str::<QueueStats>(r#"{"enqueued":5}"#).is_err());
+    }
 
     fn small_bus(tenants: usize) -> ArrivalBus {
         ArrivalBus::new(

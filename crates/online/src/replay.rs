@@ -1132,28 +1132,16 @@ impl Replayer {
                 buf,
                 faults,
             } => {
-                // Mirror `OnlinePolicy::on_planning_tick` exactly: drain,
-                // corrupt (when chaos is enabled), batch-ingest, plan; a
-                // failed plan is swallowed but counted.
-                let drained = bus.drain_into(0, buf)?;
-                if drained > 0 {
-                    if let Some(injector) = faults {
-                        injector.corrupt_arrivals(round, 0, buf);
-                    }
-                    scaler.ingest_batch(buf);
-                }
-                let injected = faults
-                    .as_ref()
-                    .and_then(|injector| injector.plan_fault(round, 0))
-                    .is_some();
-                let result = if injected {
-                    Err(OnlineError::Injected { round, tenant: 0 })
-                } else {
-                    scaler.plan_round(now, covered[0])
-                };
-                if result.is_err() {
-                    scaler.record_failed_round();
-                }
+                let (result, _) = crate::harness::single_tenant_tick(
+                    scaler,
+                    bus,
+                    buf,
+                    faults.as_ref(),
+                    round,
+                    now,
+                    covered[0],
+                    false,
+                );
                 (
                     vec![result],
                     vec![scaler.take_trace_events()],
@@ -1633,6 +1621,30 @@ mod tests {
         assert_eq!(summary.rounds, rounds as u64);
         let lines = lines.lock().unwrap();
         lines.join("\n")
+    }
+
+    #[test]
+    fn drain_bus_is_refused_while_recording() {
+        // A trace replays drains only as part of rounds: an out-of-round
+        // drain would move arrivals the trace never sees.
+        let (mut fleet, header) = fleet_with_bus(17);
+        let sink = MemorySink::new();
+        let lines = sink.lines();
+        let recorder = TraceRecorder::new(Box::new(sink), &header).unwrap();
+        fleet.start_recording(recorder).unwrap();
+        drive(&mut fleet, 0..2);
+        assert!(fleet.enqueue(0, 425.0).unwrap());
+        assert!(matches!(
+            fleet.drain_bus(),
+            Err(OnlineError::InvalidConfig(_))
+        ));
+        drive(&mut fleet, 2..4);
+        fleet.finish_recording().unwrap();
+        let text = lines.lock().unwrap().join("\n");
+        let trace = RecordedTrace::parse(&text).unwrap();
+        let report = replay_trace(&trace, ReplayMode::Strict, &PolicyBands::default()).unwrap();
+        assert!(report.passed(), "{:?}", report.divergences);
+        assert_eq!(report.rounds, 4);
     }
 
     #[test]

@@ -101,12 +101,11 @@ impl OnlineConfig {
 
 /// Serving-loop counters exposed for observability and tests.
 ///
-/// `Deserialize` is hand-written: the counters persist inside
-/// [`ScalerSnapshot`]s, and snapshots written before
-/// [`OnlineStats::shared_planning_rounds`] or
-/// [`OnlineStats::plan_cache_hits`] existed must load with those counters
-/// at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+/// The counters persist inside [`ScalerSnapshot`]s; snapshots written
+/// before [`OnlineStats::shared_planning_rounds`] or
+/// [`OnlineStats::plan_cache_hits`] existed load with those counters at
+/// zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     /// Arrivals accepted into the ring.
     pub arrivals_ingested: u64,
@@ -128,41 +127,15 @@ pub struct OnlineStats {
     /// planned against a cluster-shared arrival-sample matrix instead of
     /// sampling privately — the observability hook proving cross-tenant
     /// sharing actually engaged (see [`crate::sharing`]).
+    #[serde(default)]
     pub shared_planning_rounds: u64,
     /// Rounds served by time-shifting the memoized previous plan instead of
     /// re-running Monte Carlo (Layer 2 plan reuse, see
     /// [`crate::sharing::PlanCacheKey`]). Deliberately *not* counted into
     /// [`OnlineStats::planning_rounds`]: a cache hit runs no optimizer and
     /// consumes no RNG.
+    #[serde(default)]
     pub plan_cache_hits: u64,
-}
-
-impl Deserialize for OnlineStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let require = |key: &str| match v.get(key) {
-            Some(value) => Deserialize::from_value(value),
-            None => Err(serde::Error::msg(format!(
-                "missing field `{key}` in OnlineStats"
-            ))),
-        };
-        Ok(Self {
-            arrivals_ingested: require("arrivals_ingested")?,
-            arrivals_dropped: require("arrivals_dropped")?,
-            refits: require("refits")?,
-            drift_refits: require("drift_refits")?,
-            planning_rounds: require("planning_rounds")?,
-            skipped_rounds: require("skipped_rounds")?,
-            failed_rounds: require("failed_rounds")?,
-            shared_planning_rounds: match v.get("shared_planning_rounds") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-            plan_cache_hits: match v.get("plan_cache_hits") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => 0,
-            },
-        })
-    }
 }
 
 /// Format version written by [`OnlineScaler::snapshot`]; bump on any layout

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use robustscaler::core::{RobustScalerConfig, RobustScalerVariant};
 use robustscaler::online::{
     replay_path, BusConfig, FaultPlan, OnlineConfig, PolicyBands, ReplayMode, ResidencyConfig,
-    RestoreOptions, SupervisorConfig, TenantFleet, TraceRecorder,
+    RestoreOptions, SharingConfig, SupervisorConfig, TenantFleet, TraceRecorder,
 };
 use std::path::PathBuf;
 
@@ -144,19 +144,40 @@ fn reference_fleet(seed: u64) -> TenantFleet {
 }
 
 /// The tentpole contract, deterministically: paging on ≡ paging off,
-/// and the paging fleet demonstrably pages (out to disk and back in).
+/// and the paging fleet demonstrably pages (out to disk and back in) —
+/// with sharing off and with the full plan-reuse stack on. Every tenant
+/// of the cold-registered fleet becomes resident through the wake path,
+/// so with sharing on this also pins that a woken tenant's plan cache is
+/// armed exactly like a resident one's.
 #[test]
 fn paging_fleet_matches_resident_fleet_bit_for_bit() {
+    for sharing in [SharingConfig::default(), SharingConfig::on()] {
+        for seed in [7, 11, 23] {
+            paging_matches_resident(seed, sharing);
+        }
+    }
+}
+
+fn paging_matches_resident(seed: u64, sharing: SharingConfig) {
     let dir = scratch("equivalence");
-    let mut paged = paging_fleet(7, &dir);
-    let mut resident = reference_fleet(7);
+    let mut paged = paging_fleet(seed, &dir);
+    let mut resident = reference_fleet(seed);
+    paged.set_sharing(sharing).unwrap();
+    resident.set_sharing(sharing).unwrap();
 
     let (paged_rounds, paged_events) = drive(&mut paged, 11);
     let (resident_rounds, resident_events) = drive(&mut resident, 11);
 
     assert_eq!(paged_rounds, resident_rounds);
     assert_eq!(paged_events, resident_events);
-    assert_eq!(paged.aggregate_stats(), resident.aggregate_stats());
+    let aggregate = paged.aggregate_stats();
+    assert_eq!(aggregate, resident.aggregate_stats());
+    if sharing.plan_cache {
+        assert!(
+            aggregate.plan_cache_hits > 0,
+            "no plan reuse: {aggregate:?}"
+        );
+    }
 
     let stats = paged.residency_stats();
     // The poked tenant hibernated after its first wake and was paged to
